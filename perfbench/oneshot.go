@@ -91,9 +91,13 @@ func runOneshot(r *run, tables []oneshotTable) ([][]oneshotCall, error) {
 		if tb.floor > 0 {
 			r.check(tb.name+"_f1_floor", c.f1() >= tb.floor, fmt.Sprintf("F1 %.4f, floor %.2f", c.f1(), tb.floor))
 		}
-		for _, again := range calls[i][1:] {
+		for j := range calls[i][1:] {
+			again := &calls[i][1+j]
 			r.check(tb.name+"_rerun_identical", sameMatches(first.Matches, again.res.Matches),
 				fmt.Sprintf("%d vs %d matches for the same seed", len(first.Matches), len(again.res.Matches)))
+			// Checked: free it, so the reads below run beside the heap
+			// of one result per table, not of every rerun.
+			again.res = nil
 		}
 	}
 	r.latencies(deltaMS, roundMS)

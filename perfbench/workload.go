@@ -29,7 +29,7 @@ const (
 // of the p99s of consecutive readWindow-read windows (windowedP99) and
 // its read rate as the median over rateSlice slices (medianRate).
 const (
-	libraryReadPhase = 2500 * time.Millisecond
+	libraryReadPhase = 4 * time.Second
 	libraryMinReads  = 1100
 	readWindow       = 1000
 	rateSlice        = 250 * time.Millisecond
