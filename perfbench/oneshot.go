@@ -31,8 +31,12 @@ type oneshotCall struct {
 // while it has had fewer than its minRuns resolves (two in a traced run)
 // or the run's measuring time has not passed. Odd passes are traced in a
 // traced run, so each traced resolve has an untraced twin for the
-// overhead figure. It returns each table's calls.
-func runOneshot(r *run, tables []oneshotTable) ([][]oneshotCall, error) {
+// overhead figure. After its own checks it calls extra with each table's
+// calls (their reruns freed), for the workload's further checks, and
+// then reads the first result of each table. The tables are not used
+// after extra, so the reads run beside the results they read, not
+// beside the inputs the benchmark generated.
+func runOneshot(r *run, tables []oneshotTable, extra func([][]oneshotCall)) error {
 	pc := &progressCounter{}
 	calls := make([][]oneshotCall, len(tables))
 	start := time.Now()
@@ -52,7 +56,7 @@ func runOneshot(r *run, tables []oneshotTable) ([][]oneshotCall, error) {
 			op++
 			c, err := r.resolveOnce(op, tb, traced, pc)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tb.name, err)
+				return fmt.Errorf("%s: %w", tb.name, err)
 			}
 			calls[i] = append(calls[i], c)
 		}
@@ -104,13 +108,14 @@ func runOneshot(r *run, tables []oneshotTable) ([][]oneshotCall, error) {
 	r.set("resolve_s", resolveS)
 	crowd.report(r)
 	r.set("f1", all.f1())
+	extra(calls)
 	r.readLibrary(results...)
 	r.set("peak_rss_mb", peakRSSMB())
 	if r.traced {
 		r.acc.report(r, pc)
 		r.reportTrace([]float64{untracedS * 1e3}, []float64{tracedS * 1e3})
 	}
-	return calls, nil
+	return nil
 }
 
 // resolveOnce builds a fresh table (the table caches its tokens, so a
@@ -171,11 +176,10 @@ func runPaperOneshot(r *run) error {
 	if err != nil {
 		return err
 	}
-	calls, err := runOneshot(r, tables)
-	if err != nil {
-		return err
-	}
-	if r.traced {
+	return runOneshot(r, tables, func(calls [][]oneshotCall) {
+		if !r.traced {
+			return
+		}
 		for i, tb := range tables {
 			var pairs []record.Pair
 			for _, m := range calls[i][0].res.Matches {
@@ -195,8 +199,7 @@ func runPaperOneshot(r *run) error {
 			r.values["hitgen.random_hits"] += float64(len(rnd))
 			r.probeLayers(tb.in.recordTable(len(tb.in.rows)), simjoin.Options{Threshold: paperTau, CrossSourceOnly: tb.opts.CrossSourceOnly})
 		}
-	}
-	return nil
+	})
 }
 
 // scale-join: one machine-pass-bound Resolve on a fresh ScaleN table.
@@ -216,13 +219,17 @@ func runScaleJoin(r *run) error {
 	if err != nil {
 		return err
 	}
-	calls, err := runOneshot(r, tables)
-	if err != nil {
-		return err
-	}
-	in := tables[0].in
-	judged := make(map[crowder.Pair]bool, len(calls[0][0].res.Matches))
-	for _, m := range calls[0][0].res.Matches {
+	return runOneshot(r, tables, func(calls [][]oneshotCall) {
+		scaleChecks(r, tables[0].in, calls[0][0].res)
+	})
+}
+
+// scaleChecks checks that every planted duplicate of in is among the
+// judged candidate pairs of res and, in a traced run, probes the record
+// and simjoin layers on a fresh copy of the table.
+func scaleChecks(r *run, in *input, res *crowder.Result) {
+	judged := make(map[crowder.Pair]bool, len(res.Matches))
+	for _, m := range res.Matches {
 		judged[m.Pair] = true
 	}
 	missing := 0
@@ -236,5 +243,4 @@ func runScaleJoin(r *run) error {
 	if r.traced {
 		r.probeLayers(in.recordTable(len(in.rows)), simjoin.Options{Threshold: scaleTau})
 	}
-	return nil
 }

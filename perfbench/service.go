@@ -33,7 +33,8 @@ const (
 	serviceTau      = 0.5
 	readInterval    = 2 * time.Millisecond
 	minMixedReads   = 3 * readWindow
-	capacityPhase   = 3 * time.Second
+	capacityWarmup  = 250 * time.Millisecond
+	capacityPhase   = 5 * time.Second
 	pollInterval    = time.Millisecond
 	requestIDHeader = "X-Perfbench-Req"
 )
@@ -451,13 +452,15 @@ func (sv *serviceTrace) report(r *run) {
 }
 
 // readCapacity runs closed-loop GET /matches from one client per CPU,
-// with no writes, and sets the read metrics from it (setReads).
+// with no writes, and sets the read metrics from it (setReads). The
+// reads that start in the first capacityWarmup open the connections and
+// are not timed.
 func readCapacity(r *run, d *daemon) error {
 	n := runtime.NumCPU()
 	reads := make([][]timedRead, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	start := time.Now()
+	start := time.Now().Add(capacityWarmup)
 	stop := start.Add(capacityPhase)
 	for i := 0; i < n; i++ {
 		c := newClient(d, &atomic.Int64{})
@@ -470,6 +473,9 @@ func readCapacity(r *run, d *daemon) error {
 				if err != nil {
 					errs[i] = err
 					return
+				}
+				if cl.start.Before(start) {
+					continue
 				}
 				reads[i] = append(reads[i], timedRead{end: cl.end, ms: ms(cl.end.Sub(cl.start))})
 			}

@@ -74,28 +74,39 @@ func windowP99s(xs []float64, size int) []float64 {
 	return p99s
 }
 
-// medianRate splits the phase that began at start into consecutive
-// slices of length slice and returns the median, over the full slices,
-// of the completions per second in each slice; ends are the completion
-// instants in any order. With fewer than two full slices it returns the
-// completions per second over the whole phase. Like windowedP99, it
-// keeps a stall of the host to the slices it falls in.
-func medianRate(start time.Time, ends []time.Time, slice time.Duration) float64 {
+// windowP50s splits latencies, given with their completion instants in
+// completion order, into consecutive windows of length span from start
+// (the completions after the last full window join it) and returns each
+// window's median, or the one median of the whole phase when it holds
+// fewer than two full windows. A shared host swings between two speeds
+// that each last from tens of milliseconds to several seconds, so the
+// median over all reads jumps between the two levels as their shares
+// cross one half; the mean of the windows' medians moves in proportion
+// to the shares.
+func windowP50s(start time.Time, ends []time.Time, lat []float64, span time.Duration) []float64 {
 	if len(ends) == 0 {
-		return 0
+		return nil
 	}
-	last := slices.MaxFunc(ends, func(a, b time.Time) int { return a.Compare(b) })
-	full := int(last.Sub(start) / slice)
-	if full < 2 {
-		return float64(len(ends)) / max(last.Sub(start).Seconds(), 1e-9)
+	n := int(ends[len(ends)-1].Sub(start) / span)
+	if n < 2 {
+		return []float64{percentile(lat, 0.5)}
 	}
-	counts := make([]float64, full)
-	for _, e := range ends {
-		if i := int(e.Sub(start) / slice); i >= 0 && i < full {
-			counts[i]++
-		}
+	wins := make([][]float64, n)
+	for i, e := range ends {
+		w := min(int(e.Sub(start)/span), n-1)
+		wins[w] = append(wins[w], lat[i])
 	}
-	return median(counts) / slice.Seconds()
+	p50s := make([]float64, n)
+	for w, xs := range wins {
+		p50s[w] = percentile(xs, 0.5)
+	}
+	return p50s
+}
+
+// phaseRate returns the completions per second of a phase that began at
+// start and whose n completions ended at last.
+func phaseRate(start, last time.Time, n int) float64 {
+	return float64(n) / max(last.Sub(start).Seconds(), 1e-9)
 }
 
 // median returns the middle sample of xs (the mean of the two middle

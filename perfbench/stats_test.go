@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -81,25 +82,38 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestMedianRateIgnoresOneStalledSlice(t *testing.T) {
+func TestWindowP50sSplitsThePhaseByTime(t *testing.T) {
 	start := time.Unix(0, 0)
 	var ends []time.Time
-	// Four 100 ms slices: 50, 0 (a stall), 50 and 50 completions, then
-	// a partial slice that is not counted.
-	for _, sl := range []int{0, 2, 3} {
-		for i := range 50 {
-			ends = append(ends, start.Add(time.Duration(sl)*100*time.Millisecond+time.Duration(i)*time.Millisecond))
+	var lat []float64
+	add := func(at time.Duration, ms float64) {
+		ends = append(ends, start.Add(at))
+		lat = append(lat, ms)
+	}
+	// Three 100 ms windows of reads taking 1, 3 and 2 ms; the read that
+	// ends the phase at 300 ms joins the last window.
+	for w, ms := range []float64{1, 3, 2} {
+		for i := range 10 {
+			add(time.Duration(w*100+i*10)*time.Millisecond, ms)
 		}
 	}
-	ends = append(ends, start.Add(410*time.Millisecond))
-	if got := medianRate(start, ends, 100*time.Millisecond); got != 500 {
-		t.Errorf("medianRate = %v/s, want 500/s", got)
+	add(300*time.Millisecond, 2)
+	if got := windowP50s(start, ends, lat, 100*time.Millisecond); !slices.Equal(got, []float64{1, 3, 2}) {
+		t.Errorf("windowP50s = %v, want [1 3 2]", got)
 	}
-	short := []time.Time{start.Add(50 * time.Millisecond), start.Add(100 * time.Millisecond)}
-	if got := medianRate(start, short, 100*time.Millisecond); got != 20 {
-		t.Errorf("medianRate over one slice = %v/s, want the whole-phase 20/s", got)
+	// Under two full windows: the median of the whole phase.
+	if got := windowP50s(start, ends[:15], lat[:15], 100*time.Millisecond); !slices.Equal(got, []float64{1}) {
+		t.Errorf("one window: windowP50s = %v, want [1]", got)
 	}
-	if got := medianRate(start, nil, time.Second); got != 0 {
-		t.Errorf("medianRate(nil) = %v, want 0", got)
+	if got := windowP50s(start, nil, nil, time.Second); len(got) != 0 {
+		t.Errorf("no reads: windowP50s = %v, want none", got)
+	}
+}
+
+func TestPhaseRateCountsTheWholePhase(t *testing.T) {
+	start := time.Unix(0, 0)
+	// 150 completions in 400 ms, a stall included: 375/s.
+	if got := phaseRate(start, start.Add(400*time.Millisecond), 150); got != 375 {
+		t.Errorf("phaseRate = %v/s, want 375/s", got)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/crowder/crowder"
@@ -23,16 +21,17 @@ const (
 	setupPhase = time.Second
 )
 
-// A library workload reads its accepted matches for libraryReadPhase,
-// and at least libraryMinReads times so that the read p99 has ten
-// samples beyond it. Every workload reports its read p99 as the median
-// of the p99s of consecutive readWindow-read windows (windowedP99) and
-// its read rate as the median over rateSlice slices (medianRate).
+// A library workload reads its accepted matches for libraryReadPhase
+// after libraryWarmup, and at least libraryMinReads times so that its
+// read p99 is the median of three readWindow-read windows, each with ten
+// samples beyond its p99 (windowP99s). Every workload reports its read
+// p50 as the mean of the medians of readSpan windows (windowP50s).
 const (
-	libraryReadPhase = 4 * time.Second
-	libraryMinReads  = 1100
+	libraryWarmup    = 500 * time.Millisecond
+	libraryReadPhase = 6 * time.Second
+	libraryMinReads  = 3000
 	readWindow       = 1000
-	rateSlice        = 250 * time.Millisecond
+	readSpan         = time.Second
 )
 
 // stagesOf converts a result's stage timings.
@@ -66,43 +65,41 @@ func (r *run) traceResolve(op int, root string, start, resolveStart, end time.Ti
 }
 
 // readLibrary times closed-loop reads of the accepted matches of results
-// from one goroutine per CPU plus one, for libraryReadPhase and at least
-// libraryMinReads reads, and sets the read metrics. One client more than
-// there are CPUs keeps every CPU busy, so a read's latency includes
-// waiting for a CPU, as on a loaded server; that wait, not the moments
-// the host or the garbage collector happen to pause the process, then
-// sets the tail. The heap is collected first, so the reads do not pay
-// for the garbage of the work before them.
+// from one goroutine, for libraryReadPhase and at least libraryMinReads
+// reads, and sets the read metrics. A single reader on a host with more
+// than one CPU never waits for a CPU, so its latency is the read's own
+// cost; with more readers than CPUs the tail would be the Go scheduler's
+// 10 ms time slice, landing where the host's stolen CPU time puts it.
+// The heap is collected first, so the reads do not pay for the garbage
+// of the work before them, and libraryWarmup of untimed reads lets the
+// collector settle to the reads' own allocation rate.
 func (r *run) readLibrary(results ...*crowder.Result) {
 	runtime.GC()
-	clients := runtime.NumCPU() + 1
-	reads := make([][]timedRead, clients)
-	errs := make([]error, clients)
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := range clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for done.Load() < libraryMinReads || time.Since(start) < libraryReadPhase {
-				t0 := time.Now()
-				for _, res := range results {
-					if _, err := renderAccepted(res); err != nil {
-						errs[c] = err
-					}
-				}
-				end := time.Now()
-				reads[c] = append(reads[c], timedRead{end: end, ms: ms(end.Sub(t0))})
-				done.Add(1)
-			}
-		}()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	for t0 := time.Now(); time.Since(t0) < libraryWarmup; {
+		for _, res := range results {
+			renderAccepted(res)
+		}
 	}
-	wg.Wait()
-	all := slices.Concat(reads...)
-	r.ops(len(all), errs)
-	r.setReads(start, all)
-	r.note("reads", map[string]any{"count": len(all), "clients": clients, "window": readWindow, "tail_quantile": tailQuantile(min(len(all), readWindow))})
+	var reads []timedRead
+	var errs []error
+	start := time.Now()
+	for len(reads) < libraryMinReads || time.Since(start) < libraryReadPhase {
+		t0 := time.Now()
+		var failed error
+		for _, res := range results {
+			if _, err := renderAccepted(res); err != nil {
+				failed = err
+			}
+		}
+		end := time.Now()
+		errs = append(errs, failed)
+		reads = append(reads, timedRead{end: end, ms: ms(end.Sub(t0))})
+	}
+	r.ops(len(reads), errs)
+	r.setReads(start, reads)
+	r.note("reads", map[string]any{"count": len(reads), "clients": 1, "heap_mb": float64(mem.HeapAlloc) / (1 << 20), "window": readWindow, "tail_quantile": tailQuantile(min(len(reads), readWindow))})
 }
 
 // timedRead is one read's completion instant and latency.
@@ -111,9 +108,10 @@ type timedRead struct {
 	ms  float64
 }
 
-// setReads sets read_p50_ms, read_p99_ms (windowed, in completion order)
-// and read_rps (median over rate slices) from the reads of a
-// closed-loop phase that began at start.
+// setReads sets read_p50_ms (the mean of the readSpan windows'
+// medians), read_p99_ms (the median of the readWindow-read windows'
+// p99s, in completion order) and read_rps (over the whole phase) from
+// the reads of a closed-loop phase that began at start.
 func (r *run) setReads(start time.Time, reads []timedRead) {
 	slices.SortFunc(reads, func(a, b timedRead) int { return a.end.Compare(b.end) })
 	lat := make([]float64, len(reads))
@@ -121,9 +119,14 @@ func (r *run) setReads(start time.Time, reads []timedRead) {
 	for i, rd := range reads {
 		lat[i], ends[i] = rd.ms, rd.end
 	}
-	r.set("read_p50_ms", percentile(lat, 0.5))
-	r.set("read_p99_ms", windowedP99(lat, readWindow))
-	r.set("read_rps", medianRate(start, ends, rateSlice))
+	p50s := windowP50s(start, ends, lat, readSpan)
+	p99s := windowP99s(lat, readWindow)
+	r.set("read_p50_ms", mean(p50s))
+	r.set("read_p99_ms", median(p99s))
+	if len(reads) > 0 {
+		r.set("read_rps", phaseRate(start, ends[len(ends)-1], len(reads)))
+	}
+	r.note("read_windows", map[string]any{"p50_ms": p50s, "p99_ms": p99s})
 }
 
 // latencies sets a workload's delta and round latency metrics and notes
